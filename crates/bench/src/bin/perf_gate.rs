@@ -158,17 +158,11 @@ fn main() {
     let report_span = trace::span!("report");
 
     if inject_alloc {
-        // Synthetic allocation spike: force fresh heap allocations past
-        // any plausible band by churning unpooled buffers.
-        let pooled = pool::enabled();
-        pool::set_enabled(false);
-        let mut acc = 0.0f32;
-        for _ in 0..50_000 {
-            let t = tensor::Tensor::zeros([64]);
-            acc += t.data()[0];
-        }
-        bench::black_box(acc);
-        pool::set_enabled(pooled);
+        // Synthetic allocation spike: hold 50k buffers alive at once so the
+        // pool (capped per size class) cannot serve them, forcing fresh
+        // heap allocations past any plausible band.
+        let held: Vec<tensor::Tensor> = (0..50_000).map(|_| tensor::Tensor::zeros([64])).collect();
+        bench::black_box(held.iter().map(|t| t.data()[0]).sum::<f32>());
     }
 
     let snap = tensor::profile::snapshot();
@@ -197,7 +191,6 @@ fn main() {
     let mut current = MetricFile::new("perf_gate");
     current.set_meta("checksum", format!("{checksum:#018x}"));
     current.set_meta("threads", threads.to_string());
-    current.set_meta("pool", pool::enabled().to_string());
     current.set_meta(
         "workload",
         format!("triangles/e{}r{}", cfg.train.epochs, cfg.epoch_reweight),
@@ -213,11 +206,9 @@ fn main() {
 
     println!("# Perf gate\n");
     println!(
-        "Fixed-seed triangles workload ({} epochs, reweight {}), t={threads}, \
-         pool {}. Baseline: `{baseline_path}`.\n",
-        cfg.train.epochs,
-        cfg.epoch_reweight,
-        if pool::enabled() { "on" } else { "off" },
+        "Fixed-seed triangles workload ({} epochs, reweight {}), t={threads}. \
+         Baseline: `{baseline_path}`.\n",
+        cfg.train.epochs, cfg.epoch_reweight,
     );
     println!("| metric | value |");
     println!("|---|---|");
@@ -254,7 +245,7 @@ fn main() {
             }
             Ok(baseline) => {
                 // The baseline must describe the same experiment.
-                for key in ["threads", "pool", "workload"] {
+                for key in ["threads", "workload"] {
                     let base = baseline.meta.get(key).cloned().unwrap_or_default();
                     let cur = &current.meta[key];
                     if &base != cur {

@@ -645,7 +645,6 @@ fn main() {
     metrics.set("qps", qps);
     metrics.set("stage_attribution_pct", attribution * 100.0);
     metrics.set_meta("threads", launch_threads.to_string());
-    metrics.set_meta("pool", tensor::pool::enabled().to_string());
     if let Err(e) = metrics.save("results/serve_drill.json") {
         eprintln!("cannot save results/serve_drill.json: {e}");
     }
@@ -1075,7 +1074,6 @@ fn socket_drill() {
     metrics.set("latency_p99_ms", p99);
     metrics.set("qps", qps);
     metrics.set_meta("threads", launch_threads.to_string());
-    metrics.set_meta("pool", tensor::pool::enabled().to_string());
     if let Err(e) = metrics.save("results/serve_drill_socket.json") {
         eprintln!("cannot save results/serve_drill_socket.json: {e}");
     }

@@ -1,8 +1,8 @@
 //! Machine-readable performance records: one flat JSON object per file,
 //! string values for metadata (tool, git revision, checksums) and numeric
 //! values for metrics. `perf_gate` compares these against committed
-//! baselines under `results/baselines/`, and `threads_sweep` / `mem_sweep`
-//! emit the same format next to their markdown tables so every perf
+//! baselines under `results/baselines/`, and `threads_sweep` emits the
+//! same format next to its markdown table so every perf
 //! artifact in `results/` is diffable by the same tooling.
 //!
 //! The encoding reuses the trace crate's JSON writer/parser (flat objects

@@ -58,11 +58,10 @@ pub fn init(bin: &str, seed: u64) -> Option<PathBuf> {
     // Record the parallel execution layer's thread count with the run.
     trace::metrics::gauge_set("tensor/threads", tensor::par::current_threads() as f64);
     // Stamp the run manifest first thing, so every trace opens with the
-    // reproduction context (binary, seed, threads, pool, git revision).
+    // reproduction context (binary, seed, threads, git revision).
     RunManifest::new(bin)
         .seed(seed)
         .threads(tensor::par::current_threads())
-        .pool(tensor::pool::enabled())
         .emit();
     jsonl
 }
@@ -163,7 +162,6 @@ pub fn emit_tensor_profile() {
     trace::emit_event(
         trace::names::TENSOR_MEMORY,
         &[
-            ("enabled", pool.enabled.into()),
             ("hits", (pool.hits as i64).into()),
             ("misses", (pool.misses as i64).into()),
             ("allocations", (pool.allocations as i64).into()),

@@ -442,7 +442,6 @@ impl OodGnn {
             trace::RunManifest::new("train_run")
                 .seed(seed)
                 .threads(tensor::par::current_threads())
-                .pool(tensor::pool::enabled())
                 .dataset(ds.name())
                 .backbone(format!("{:?}", self.config.encoder))
                 .epochs(self.config.train.epochs)
@@ -597,7 +596,6 @@ impl OodGnn {
                     trace::names::TENSOR_MEMORY,
                     &[
                         ("epoch", (epoch as i64).into()),
-                        ("pool_enabled", pool.enabled.into()),
                         ("pool_hits", (pool.hits as i64).into()),
                         ("pool_misses", (pool.misses as i64).into()),
                         ("allocations", (pool.allocations as i64).into()),

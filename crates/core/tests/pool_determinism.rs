@@ -1,8 +1,9 @@
 //! End-to-end buffer-pool neutrality: a full OOD-GNN training run —
 //! sample reweighting, RFF decorrelation, evaluation — must produce a
-//! bitwise-identical report with the tensor buffer pool enabled or
-//! disabled, at 1 thread and at 4. This is the memory engine's hard
-//! contract: recycling is invisible to the numerics.
+//! bitwise-identical report from a cold (drained) tensor buffer pool and
+//! from the warm pool a previous run left behind, whose recycled buffers
+//! still hold stale values, at 1 thread and at 4. This is the memory
+//! engine's hard contract: recycling is invisible to the numerics.
 
 use datasets::triangles::{generate, TrianglesConfig};
 use gnn::encoder::ConvKind;
@@ -13,7 +14,7 @@ use std::sync::Mutex;
 use tensor::rng::Rng;
 use tensor::{par, pool};
 
-/// `par::set_threads` and `pool::set_enabled` are process-global;
+/// `par::set_threads` and the pool counters are process-global;
 /// serialize tests touching them.
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
@@ -37,9 +38,13 @@ fn quick_config() -> OodGnnConfig {
     }
 }
 
-fn run_at(pool_on: bool, threads: usize) -> (OodGnnReport, pool::PoolStats) {
+/// Train at `threads`, from a drained pool when `cold`, else from
+/// whatever the previous run left in it.
+fn run_at(cold: bool, threads: usize) -> (OodGnnReport, pool::PoolStats) {
     par::set_threads(threads);
-    pool::set_enabled(pool_on);
+    if cold {
+        pool::drain_thread_pool();
+    }
     pool::reset_stats();
     let bench = generate(&TrianglesConfig::scaled(0.02), 1);
     let mut mrng = Rng::seed_from(7);
@@ -56,7 +61,6 @@ fn run_at(pool_on: bool, threads: usize) -> (OodGnnReport, pool::PoolStats) {
 }
 
 fn restore() {
-    pool::set_enabled(true);
     par::set_threads(par::max_threads());
 }
 
@@ -89,27 +93,22 @@ fn assert_reports_bitwise_eq(a: &OodGnnReport, b: &OodGnnReport, what: &str) {
 #[test]
 fn full_training_run_is_pool_invariant_at_any_thread_count() {
     let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (reference, ref_stats) = run_at(false, 1);
-    assert_eq!(ref_stats.hits, 0, "disabled pool must not recycle");
-    for (pool_on, threads) in [(true, 1), (false, 4), (true, 4)] {
-        let (got, stats) = run_at(pool_on, threads);
-        assert_reports_bitwise_eq(
-            &reference,
-            &got,
-            &format!("pool={pool_on} t={threads} vs pool=off t=1"),
+    let (reference, _) = run_at(true, 1);
+    for threads in [1, 4] {
+        let (cold, cold_stats) = run_at(true, threads);
+        assert_reports_bitwise_eq(&reference, &cold, &format!("cold pool t={threads} vs t=1"));
+        let (warm, stats) = run_at(false, threads);
+        assert_reports_bitwise_eq(&reference, &warm, &format!("warm pool t={threads} vs t=1"));
+        assert!(
+            stats.hits > 0,
+            "warm training run never recycled a buffer: {stats:?}"
         );
-        if pool_on {
-            assert!(
-                stats.hits > 0,
-                "pooled training run never recycled a buffer: {stats:?}"
-            );
-            assert!(
-                stats.allocations < ref_stats.allocations,
-                "pool must reduce fresh allocations: {} vs {}",
-                stats.allocations,
-                ref_stats.allocations
-            );
-        }
+        assert!(
+            stats.allocations < cold_stats.allocations,
+            "a warm pool must reduce fresh allocations: {} vs {}",
+            stats.allocations,
+            cold_stats.allocations
+        );
     }
     restore();
 }

@@ -332,7 +332,7 @@ impl Status {
 pub struct StageTiming {
     /// Admitted → popped by the executor (queue wait).
     pub queue_us: u64,
-    /// Popped → forward start (batch coalescing + padding + setup).
+    /// Popped → forward start (batch coalescing + graph building).
     pub assemble_us: u64,
     /// Forward pass (model compute, including retries).
     pub compute_us: u64,

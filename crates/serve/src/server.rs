@@ -6,11 +6,11 @@
 //! `Send` payloads onto a **bounded** queue — a full queue yields an
 //! immediate `shed` response, never unbounded memory. A single executor
 //! thread owns the [`Registry`] (models are not `Send`), greedily
-//! coalesces adjacent inference requests into padded batches, and runs
+//! coalesces adjacent inference requests into batches, and runs
 //! eval-mode forwards on the deterministic tensor worker pool. Because
 //! per-graph outputs are bitwise-independent of batch composition (see the
-//! `batch_invariance` integration test), coalescing and padding never
-//! change a response.
+//! `batch_invariance` integration test), coalescing never changes a
+//! response.
 //!
 //! Failure handling mirrors the trainer's clip → retry → uniform-fallback
 //! guardrail: a batch whose forward panics or produces non-finite rows is
@@ -978,11 +978,11 @@ impl Executor {
         }
     }
 
-    /// Run the padded batch forward, retrying with backoff on panic or a
+    /// Run the batch forward, retrying with backoff on panic or a
     /// fully non-finite result. Returns the output (`None` when every
     /// attempt failed; rows may still be non-finite — the caller degrades
     /// per row) plus the forward start/end stamps: start is taken after
-    /// graph building and padding (so assembly is attributed to the
+    /// graph building (so assembly is attributed to the
     /// `assemble` stage), end after the last attempt (retries and backoff
     /// are compute time).
     fn forward_with_retries(
@@ -993,7 +993,7 @@ impl Executor {
         stats: &Arc<ServeStats>,
     ) -> (Option<Tensor>, Instant, Instant) {
         let dim = entry.spec.in_dim;
-        let mut graphs: Vec<Graph> = jobs
+        let graphs: Vec<Graph> = jobs
             .iter()
             .map(|job| {
                 let n = job.req.num_nodes;
@@ -1005,14 +1005,6 @@ impl Executor {
                 g
             })
             .collect();
-        // Pad to the next power of two with single-node dummy graphs so
-        // the kernel shapes the worker pool sees are drawn from a small
-        // set. Per-graph outputs are batch-composition-invariant, so the
-        // padding rows are simply dropped.
-        let padded = graphs.len().next_power_of_two();
-        while graphs.len() < padded {
-            graphs.push(Graph::new(1, Tensor::zeros([1, dim]), Label::Class(0)));
-        }
         let forward_start = Instant::now();
         let mut attempt = 0;
         loop {

@@ -177,7 +177,7 @@ fn responses_are_invariant_to_batch_composition() {
         })
         .collect();
 
-    // Stall the executor so all six coalesce into one padded batch.
+    // Stall the executor so all six coalesce into one batch.
     server.fault_injector().inject_slow_batches(1, 150);
     let stall = infer_line("stall", 3, 99, Some(10_000));
     let lines: Vec<String> = std::iter::once(stall)

@@ -13,8 +13,9 @@
 //!
 //! * **Bitwise neutrality.** A pooled buffer is either fully overwritten
 //!   before it is read ([`take_raw`]) or explicitly zero-filled
-//!   ([`take_zeroed`]), so results are bit-for-bit identical with the pool
-//!   on or off. The determinism suites assert this.
+//!   ([`take_zeroed`]), so a run served from a warm pool full of stale
+//!   buffers is bit-for-bit identical to a run from a cold one. The
+//!   determinism suites assert this.
 //! * **Thread locality.** Each thread owns its pool; no locks, no
 //!   cross-thread recycling. The parallel kernels in [`crate::par`] write
 //!   into pre-allocated buffers and never allocate tensors on workers, so
@@ -23,17 +24,16 @@
 //!   caps total retained bytes per thread; overflow is freed (and counted
 //!   as an eviction) rather than hoarded.
 //!
-//! The pool is on by default; `OOD_POOL=0` disables it at startup and
-//! [`set_enabled`] toggles it at runtime (the `mem_sweep` bench uses this
-//! to measure on/off deltas in one process). Hit/miss/bytes-reused
-//! counters are global relaxed atomics surfaced through
-//! [`crate::profile::snapshot`] and the `tensor_memory` telemetry event.
+//! The pool is always on. Hit/miss/bytes-reused counters are global
+//! relaxed atomics surfaced through [`crate::profile::snapshot`] and the
+//! `tensor_memory` telemetry event; [`drain_thread_pool`] empties a
+//! thread's pool when a caller needs a cold start.
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Smallest pooled capacity in elements (smaller requests still round up
 /// to this class, so even scalar node buffers recycle).
@@ -60,16 +60,12 @@ static PEAK_RETAINED_BYTES: AtomicU64 = AtomicU64::new(0);
 /// thread-local pools).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PoolStats {
-    /// Whether the pool is currently recycling buffers.
-    pub enabled: bool,
     /// Allocation requests served from a recycled buffer.
     pub hits: u64,
-    /// Allocation requests that fell through to the system allocator while
-    /// the pool was enabled.
+    /// Allocation requests that fell through to the system allocator.
     pub misses: u64,
-    /// Fresh heap allocations made through the pool API (misses while
-    /// enabled plus every request while disabled) — the `mem_sweep`
-    /// "allocations/step" numerator.
+    /// Fresh heap allocations made through the pool API (one per miss) —
+    /// the `perf_gate` allocations-per-step numerator.
     pub allocations: u64,
     /// Buffers accepted back into the pool.
     pub returns: u64,
@@ -88,7 +84,6 @@ pub struct PoolStats {
 /// Snapshot the pool counters.
 pub fn stats() -> PoolStats {
     PoolStats {
-        enabled: enabled(),
         hits: HITS.load(Ordering::Relaxed),
         misses: MISSES.load(Ordering::Relaxed),
         allocations: ALLOCATIONS.load(Ordering::Relaxed),
@@ -113,38 +108,7 @@ pub fn reset_stats() {
     PEAK_RETAINED_BYTES.store(RETAINED_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
-// ------------------------------------------------------------- enable flag
-
-/// 0 = uninitialized (consult `OOD_POOL`), 1 = enabled, 2 = disabled.
-static ENABLED: AtomicUsize = AtomicUsize::new(0);
-
-/// Whether buffer recycling is active. Defaults to on; `OOD_POOL=0`
-/// disables it at first use.
-#[inline]
-pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        0 => {
-            let on = !std::env::var("OOD_POOL").is_ok_and(|v| v == "0");
-            // Racing initializers read the same env var.
-            ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-        1 => true,
-        _ => false,
-    }
-}
-
-/// Enable or disable recycling at runtime (overrides `OOD_POOL`).
-/// Disabling also drains this thread's retained buffers so on/off phases
-/// of a bench don't share warm state. Returns the previous setting.
-pub fn set_enabled(on: bool) -> bool {
-    let prev = enabled();
-    ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-    if !on {
-        drain_thread_pool();
-    }
-    prev
-}
+// ------------------------------------------------------------ the buckets
 
 /// Free every buffer retained by this thread's pool (and its shared
 /// constant cache).
@@ -157,8 +121,6 @@ pub fn drain_thread_pool() {
     });
     SHARED.with(|s| s.borrow_mut().clear());
 }
-
-// ------------------------------------------------------------ the buckets
 
 struct ThreadPool {
     /// `log2(capacity class)` -> buffers with at least that capacity.
@@ -197,46 +159,43 @@ fn capacity_class(cap: usize) -> Option<u32> {
 
 /// A buffer of length `n` with unspecified contents. Callers must write
 /// every element before reading — all call sites are full `fill`/copy
-/// kernels, which is what keeps pooled and unpooled runs bitwise equal.
+/// kernels, which is what keeps warm-pool and cold-pool runs bitwise equal.
 pub(crate) fn take_raw(n: usize) -> Vec<f32> {
     if n == 0 {
         return Vec::new();
     }
-    if enabled() {
-        let cls = request_class(n);
-        // try_with: during thread teardown the pool TLS may already be
-        // destroyed; fall through to a plain allocation.
-        let reused = POOL
-            .try_with(|p| {
-                let mut pool = p.borrow_mut();
-                let v = pool.buckets.get_mut(&cls).and_then(|b| b.pop());
-                if let Some(ref v) = v {
-                    let bytes = (v.capacity() * std::mem::size_of::<f32>()) as u64;
-                    pool.retained_bytes = pool.retained_bytes.saturating_sub(bytes);
-                    RETAINED_BYTES.fetch_sub(bytes, Ordering::Relaxed);
-                }
-                v
-            })
-            .unwrap_or(None);
-        if let Some(mut v) = reused {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            BYTES_REUSED.fetch_add((n * std::mem::size_of::<f32>()) as u64, Ordering::Relaxed);
-            if v.len() >= n {
-                v.truncate(n);
-            } else {
-                // Only the tail beyond the previous length is written here;
-                // the head keeps stale values the caller will overwrite.
-                v.resize(n, 0.0);
+    let cls = request_class(n);
+    // try_with: during thread teardown the pool TLS may already be
+    // destroyed; fall through to a plain allocation.
+    let reused = POOL
+        .try_with(|p| {
+            let mut pool = p.borrow_mut();
+            let v = pool.buckets.get_mut(&cls).and_then(|b| b.pop());
+            if let Some(ref v) = v {
+                let bytes = (v.capacity() * std::mem::size_of::<f32>()) as u64;
+                pool.retained_bytes = pool.retained_bytes.saturating_sub(bytes);
+                RETAINED_BYTES.fetch_sub(bytes, Ordering::Relaxed);
             }
-            return v;
+            v
+        })
+        .unwrap_or(None);
+    if let Some(mut v) = reused {
+        HITS.fetch_add(1, Ordering::Relaxed);
+        BYTES_REUSED.fetch_add((n * std::mem::size_of::<f32>()) as u64, Ordering::Relaxed);
+        if v.len() >= n {
+            v.truncate(n);
+        } else {
+            // Only the tail beyond the previous length is written here;
+            // the head keeps stale values the caller will overwrite.
+            v.resize(n, 0.0);
         }
-        MISSES.fetch_add(1, Ordering::Relaxed);
+        return v;
     }
+    MISSES.fetch_add(1, Ordering::Relaxed);
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     // Round the fresh allocation up to its class so it re-enters the same
     // bucket it will later be requested from.
-    let cap = 1usize << request_class(n);
-    let mut v = Vec::with_capacity(cap);
+    let mut v = Vec::with_capacity(1usize << cls);
     v.resize(n, 0.0);
     v
 }
@@ -251,9 +210,6 @@ pub(crate) fn take_zeroed(n: usize) -> Vec<f32> {
 /// Return a buffer to the pool (called from tensor storage drops). Empty
 /// or undersized buffers and overflow beyond the retention caps are freed.
 pub(crate) fn give(v: Vec<f32>) {
-    if !enabled() {
-        return;
-    }
     let Some(cls) = capacity_class(v.capacity()) else {
         return;
     };
@@ -331,7 +287,6 @@ mod tests {
 
     #[test]
     fn round_trip_reuses_buffer() {
-        let was = set_enabled(true);
         drain_thread_pool();
         let before = stats();
         let v = take_raw(1000);
@@ -343,33 +298,19 @@ mod tests {
         let after = stats();
         assert!(after.hits > before.hits);
         assert!(after.bytes_reused >= before.bytes_reused + 900 * 4);
-        set_enabled(was);
     }
 
     #[test]
     fn take_zeroed_is_really_zero_after_reuse() {
-        let was = set_enabled(true);
         let mut v = take_raw(256);
         v.fill(7.0);
         give(v);
         let z = take_zeroed(256);
         assert!(z.iter().all(|&x| x == 0.0));
-        set_enabled(was);
-    }
-
-    #[test]
-    fn disabled_pool_never_recycles() {
-        let was = set_enabled(false);
-        let v = take_raw(512);
-        give(v);
-        let retained = POOL.with(|p| p.borrow().retained_bytes);
-        assert_eq!(retained, 0);
-        set_enabled(was);
     }
 
     #[test]
     fn peak_retained_bytes_is_a_high_water_mark() {
-        let was = set_enabled(true);
         drain_thread_pool();
         let v = take_raw(4096);
         give(v);
@@ -379,7 +320,6 @@ mod tests {
         let _v = take_raw(4096);
         let after_take = stats();
         assert!(after_take.peak_retained_bytes >= after_give.peak_retained_bytes);
-        set_enabled(was);
     }
 
     #[test]

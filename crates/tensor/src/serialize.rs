@@ -38,23 +38,55 @@ fn write_tensor<W: Write>(w: &mut W, t: &Tensor) -> io::Result<()> {
     Ok(())
 }
 
+fn invalid(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// Read `count` little-endian items of `N` bytes each. The buffer grows
+/// as bytes actually arrive, so an untrusted count cannot reserve memory
+/// the input does not back.
+fn read_items<R: Read, T, const N: usize>(
+    r: &mut R,
+    count: usize,
+    decode: impl Fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let want = (count as u64)
+        .checked_mul(N as u64)
+        .ok_or_else(|| invalid("item count overflows"))?;
+    let mut bytes = Vec::new();
+    r.by_ref().take(want).read_to_end(&mut bytes)?;
+    if (bytes.len() as u64) < want {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "checkpoint truncated",
+        ));
+    }
+    Ok(bytes
+        .chunks_exact(N)
+        .map(|c| {
+            let mut item = [0u8; N];
+            item.copy_from_slice(c);
+            decode(item)
+        })
+        .collect())
+}
+
 fn read_tensor<R: Read>(r: &mut R) -> io::Result<Tensor> {
     let rank = read_u32(r)? as usize;
     if rank > 8 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "rank too large"));
+        return Err(invalid("rank too large"));
     }
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        dims.push(read_u32(r)? as usize);
-    }
-    let shape = Shape::new(&dims);
-    let mut data = vec![0f32; shape.numel()];
-    let mut buf = [0u8; 4];
-    for v in &mut data {
-        r.read_exact(&mut buf)?;
-        *v = f32::from_le_bytes(buf);
-    }
-    Ok(Tensor::from_vec(data, shape))
+    let dims = read_items(r, rank, |b| u32::from_le_bytes(b) as usize)?;
+    // Every partial product of the dims (numel, strides) must fit in a
+    // usize; the product of the nonzero dims bounds them all.
+    let span = dims
+        .iter()
+        .filter(|&&d| d != 0)
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .ok_or_else(|| invalid("tensor dims overflow"))?;
+    let numel = if dims.contains(&0) { 0 } else { span };
+    let data = read_items(r, numel, f32::from_le_bytes)?;
+    Ok(Tensor::from_vec(data, Shape::new(&dims)))
 }
 
 /// Write a sequence of tensors to a writer.
@@ -84,7 +116,7 @@ pub fn read_tensors<R: Read>(mut r: R) -> io::Result<Vec<Tensor>> {
         ));
     }
     let count = read_u32(&mut r)? as usize;
-    let mut out = Vec::with_capacity(count);
+    let mut out = Vec::new();
     for _ in 0..count {
         out.push(read_tensor(&mut r)?);
     }
@@ -95,12 +127,6 @@ fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
     let mut buf = [0u8; 4];
     r.read_exact(&mut buf)?;
     Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
 }
 
 /// One named section of a [`Snapshot`]: a tensor list plus integer and
@@ -195,7 +221,8 @@ impl Snapshot {
             ));
         }
         let n_sections = read_u32(&mut r)? as usize;
-        let mut sections = Vec::with_capacity(n_sections);
+        // Counts are untrusted: collections grow as their items arrive.
+        let mut sections = Vec::new();
         for _ in 0..n_sections {
             let name_len = read_u32(&mut r)? as usize;
             if name_len > 4096 {
@@ -209,22 +236,14 @@ impl Snapshot {
             let name = String::from_utf8(name)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
             let n_tensors = read_u32(&mut r)? as usize;
-            let mut tensors = Vec::with_capacity(n_tensors);
+            let mut tensors = Vec::new();
             for _ in 0..n_tensors {
                 tensors.push(read_tensor(&mut r)?);
             }
             let n_ints = read_u32(&mut r)? as usize;
-            let mut ints = Vec::with_capacity(n_ints);
-            for _ in 0..n_ints {
-                ints.push(read_u64(&mut r)?);
-            }
+            let ints = read_items(&mut r, n_ints, u64::from_le_bytes)?;
             let n_floats = read_u32(&mut r)? as usize;
-            let mut floats = Vec::with_capacity(n_floats);
-            let mut buf = [0u8; 4];
-            for _ in 0..n_floats {
-                r.read_exact(&mut buf)?;
-                floats.push(f32::from_le_bytes(buf));
-            }
+            let floats = read_items(&mut r, n_floats, f32::from_le_bytes)?;
             sections.push(Section {
                 name,
                 tensors,
@@ -476,6 +495,61 @@ mod tests {
     fn snapshot_rejects_bad_magic() {
         let buf = b"OODT\x01\x00\x00\x00\x00".to_vec();
         assert!(Snapshot::read_from(&buf[..]).is_err());
+    }
+
+    fn assert_rejected(res: io::Result<impl std::fmt::Debug>, what: &str) {
+        match res {
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                ),
+                "{what}: unexpected error kind {e:?}"
+            ),
+            Ok(v) => panic!("{what}: hostile input accepted as {v:?}"),
+        }
+    }
+
+    #[test]
+    fn snapshot_with_huge_section_count_is_rejected() {
+        assert_rejected(
+            Snapshot::read_from(&b"OODS\x01\xff\xff\xff\xff"[..]),
+            "u32::MAX sections",
+        );
+    }
+
+    #[test]
+    fn tensor_with_overflowing_dims_is_rejected() {
+        let mut buf = b"OODT\x01".to_vec();
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&8u32.to_le_bytes());
+        for _ in 0..8 {
+            buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        }
+        assert_rejected(read_tensors(&buf[..]), "rank-8 u32::MAX dims");
+        // A zero dim does not excuse the overflowing ones (strides would
+        // still overflow).
+        buf[13..17].copy_from_slice(&0u32.to_le_bytes());
+        assert_rejected(read_tensors(&buf[..]), "zero dim among u32::MAX dims");
+    }
+
+    #[test]
+    fn snapshot_with_huge_int_count_is_rejected() {
+        let mut buf = b"OODS\x01".to_vec();
+        buf.extend_from_slice(&1u32.to_le_bytes()); // sections
+        buf.extend_from_slice(&0u32.to_le_bytes()); // name length
+        buf.extend_from_slice(&0u32.to_le_bytes()); // tensors
+        buf.extend_from_slice(&u32::MAX.to_le_bytes()); // ints
+        buf.extend_from_slice(&7u64.to_le_bytes()); // one int of many
+        assert_rejected(Snapshot::read_from(&buf[..]), "u32::MAX ints");
+    }
+
+    #[test]
+    fn truncated_tensor_data_is_rejected() {
+        let mut buf = Vec::new();
+        write_tensors(&mut buf, &[&Tensor::zeros([4, 4])]).unwrap();
+        buf.truncate(buf.len() - 1);
+        assert_rejected(read_tensors(&buf[..]), "one byte short");
     }
 
     #[test]

@@ -546,8 +546,7 @@ impl Tensor {
     /// blocked [`simd::matmul_row`] microkernel (16-column register
     /// accumulator tiles over an ascending-`k` loop). Per output element
     /// the accumulation order is the classic i-k-j schedule, so the
-    /// result is bitwise-identical at any thread count and to the
-    /// scalar-reference body.
+    /// result is bitwise-identical at any thread count.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         let (m, k) = self.shape.as_matrix();
         let (k2, n) = other.shape.as_matrix();

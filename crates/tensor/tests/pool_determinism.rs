@@ -2,15 +2,17 @@
 //! the pool must never change a single bit of any result. A tape graph
 //! exercising the fused kernels (cos_feature, weighted_center,
 //! scaled_masked_sq_sum), matmul and backward is replayed over a reset
-//! tape — exactly the trainer's inner-loop pattern — with the pool on and
-//! off, at 1 and 4 threads, and every value must match bitwise.
+//! tape — exactly the trainer's inner-loop pattern — from a cold (drained)
+//! pool and again from the warm pool the first run left behind, whose
+//! recycled buffers still hold its stale values, at 1 and 4 threads.
+//! Every value must match bitwise.
 
 use ood_tensor::rng::Rng;
 use ood_tensor::{par, pool, Tape, Tensor};
 use std::rc::Rc;
 use std::sync::Mutex;
 
-/// `par::set_threads` and `pool::set_enabled` are process-global;
+/// `par::set_threads` and the pool counters are process-global;
 /// serialize tests touching them.
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
@@ -55,16 +57,19 @@ fn workload() -> Vec<f32> {
     out
 }
 
-fn run(pool_on: bool, threads: usize) -> (Vec<f32>, pool::PoolStats) {
+/// Run the workload at `threads`, from a drained pool when `cold`, else
+/// from whatever the previous run left in it.
+fn run(cold: bool, threads: usize) -> (Vec<f32>, pool::PoolStats) {
     par::set_threads(threads);
-    pool::set_enabled(pool_on);
+    if cold {
+        pool::drain_thread_pool();
+    }
     pool::reset_stats();
     let out = workload();
     (out, pool::stats())
 }
 
 fn restore() {
-    pool::set_enabled(true);
     par::set_threads(par::max_threads());
 }
 
@@ -82,14 +87,13 @@ fn assert_bitwise_eq(a: &[f32], b: &[f32], what: &str) {
 #[test]
 fn pool_and_thread_count_never_change_results() {
     let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (reference, _) = run(false, 1);
-    for (pool_on, threads) in [(true, 1), (false, 4), (true, 4)] {
-        let (got, _) = run(pool_on, threads);
-        assert_bitwise_eq(
-            &reference,
-            &got,
-            &format!("pool={pool_on} t={threads} vs pool=off t=1"),
-        );
+    let (reference, _) = run(true, 1);
+    for threads in [1, 4] {
+        let (cold, _) = run(true, threads);
+        assert_bitwise_eq(&reference, &cold, &format!("cold pool t={threads} vs t=1"));
+        let (warm, stats) = run(false, threads);
+        assert_bitwise_eq(&reference, &warm, &format!("warm pool t={threads} vs t=1"));
+        assert!(stats.hits > 0, "warm rerun never hit the pool: {stats:?}");
     }
     restore();
 }
@@ -98,7 +102,6 @@ fn pool_and_thread_count_never_change_results() {
 fn replayed_tape_is_served_from_the_pool() {
     let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (_, stats) = run(true, 1);
-    assert!(stats.enabled);
     assert!(stats.hits > 0, "replays never hit the pool: {stats:?}");
     assert!(stats.bytes_reused > 0, "no bytes recycled: {stats:?}");
     // The replayed graph is identical each time, so after the first
@@ -109,16 +112,5 @@ fn replayed_tape_is_served_from_the_pool() {
         stats.hits,
         stats.misses
     );
-    restore();
-}
-
-#[test]
-fn disabled_pool_reports_zero_hits() {
-    let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (_, stats) = run(false, 1);
-    assert!(!stats.enabled);
-    assert_eq!(stats.hits, 0, "{stats:?}");
-    assert_eq!(stats.bytes_reused, 0, "{stats:?}");
-    assert!(stats.allocations > 0, "{stats:?}");
     restore();
 }

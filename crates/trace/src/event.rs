@@ -17,7 +17,7 @@ pub mod names {
     /// Buffer-pool memory-engine counters: hits, misses, fresh
     /// allocations, bytes served from recycled buffers.
     pub const TENSOR_MEMORY: &str = "tensor_memory";
-    /// Start-of-run manifest: schema version, seed, threads/pool config,
+    /// Start-of-run manifest: schema version, seed, thread count,
     /// dataset, backbone, git revision (see [`crate::manifest`]).
     pub const RUN_MANIFEST: &str = "run_manifest";
     /// End-of-run summary: wall time and peak memory high-water marks.

@@ -149,21 +149,47 @@ impl<'a> Parser<'a> {
                     Some(b't') => out.push('\t'),
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + (d as char).to_digit(16).ok_or("bad hex in \\u escape")?;
-                        }
-                        out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                    }
+                    Some(b'u') => out.push(self.parse_unicode_escape()?),
                     other => return Err(format!("bad escape {other:?}")),
                 },
                 None => return Err("unterminated string".to_string()),
                 _ => unreachable!(),
             }
         }
+    }
+
+    /// Four hex digits of a `\\u` escape.
+    fn parse_hex4(&mut self) -> Result<u32, String> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            let d = self.next().ok_or("truncated \\u escape")?;
+            code = code * 16 + (d as char).to_digit(16).ok_or("bad hex in \\u escape")?;
+        }
+        Ok(code)
+    }
+
+    /// The character of a `\\u` escape (after the `u`). A high surrogate
+    /// must be followed by a `\\u` low surrogate; the pair encodes one
+    /// character outside the Basic Multilingual Plane.
+    fn parse_unicode_escape(&mut self) -> Result<char, String> {
+        let code = match self.parse_hex4()? {
+            hi @ 0xD800..=0xDBFF => {
+                if self.next() != Some(b'\\') || self.next() != Some(b'u') {
+                    return Err(format!("lone high surrogate \\u{hi:04x}"));
+                }
+                match self.parse_hex4()? {
+                    lo @ 0xDC00..=0xDFFF => 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00),
+                    other => {
+                        return Err(format!(
+                            "high surrogate \\u{hi:04x} followed by \\u{other:04x}"
+                        ))
+                    }
+                }
+            }
+            lo @ 0xDC00..=0xDFFF => return Err(format!("lone low surrogate \\u{lo:04x}")),
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| format!("invalid \\u code point {code:#x}"))
     }
 
     /// Parse a scalar value; `Ok(None)` means JSON `null`.
@@ -248,6 +274,28 @@ mod tests {
     fn unicode_escapes() {
         let pairs = parse_object(r#"{"s": "\u00e9"}"#).unwrap();
         assert_eq!(pairs[0].1, Value::Str("é".into()));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        let pairs = parse_object(r#"{"s":"\ud83d\ude00","t":"a\uD834\uDD1Eb"}"#).unwrap();
+        assert_eq!(pairs[0].1, Value::Str("😀".into()));
+        assert_eq!(pairs[1].1, Value::Str("a𝄞b".into()));
+    }
+
+    #[test]
+    fn lone_surrogates_are_rejected() {
+        for bad in [
+            r#"{"s":"\ud83d"}"#,
+            r#"{"s":"\ud83dx"}"#,
+            r#"{"s":"\ud83d\n"}"#,
+            r#"{"s":"\ud83d\u0041"}"#,
+            r#"{"s":"\ude00"}"#,
+            r#"{"s":"\ud83d\ud83d"}"#,
+        ] {
+            let err = parse_object(bad).unwrap_err();
+            assert!(err.contains("surrogate"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Run manifests: one structured `run_manifest` event stamped at the
 //! start of every training run and bench binary, recording everything
 //! needed to reproduce and compare the run — schema version, seed,
-//! thread/pool configuration, dataset, backbone, and the git revision the
+//! thread count, dataset, backbone, and the git revision the
 //! binary was built from.
 //!
 //! The manifest is the join key of the analysis tier: `trace::agg`
@@ -29,8 +29,6 @@ pub struct RunManifest {
     pub seed: Option<u64>,
     /// Tensor execution-layer thread count.
     pub threads: Option<usize>,
-    /// Whether the tensor buffer pool is recycling.
-    pub pool: Option<bool>,
     /// Dataset name (`"TRIANGLES"`, …).
     pub dataset: Option<String>,
     /// Encoder backbone (`"Gin"`, …).
@@ -48,7 +46,6 @@ impl RunManifest {
             bin: bin.into(),
             seed: None,
             threads: None,
-            pool: None,
             dataset: None,
             backbone: None,
             epochs: None,
@@ -65,12 +62,6 @@ impl RunManifest {
     /// Record the tensor execution-layer thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Record whether the buffer pool is recycling.
-    pub fn pool(mut self, enabled: bool) -> Self {
-        self.pool = Some(enabled);
         self
     }
 
@@ -111,9 +102,6 @@ impl RunManifest {
         }
         if let Some(t) = self.threads {
             f.push(("threads".into(), t.into()));
-        }
-        if let Some(p) = self.pool {
-            f.push(("pool".into(), p.into()));
         }
         if let Some(d) = &self.dataset {
             f.push(("dataset".into(), d.as_str().into()));
@@ -177,7 +165,6 @@ mod tests {
         let m = RunManifest::new("perf_gate")
             .seed(17)
             .threads(4)
-            .pool(true)
             .dataset("TRIANGLES")
             .backbone("Gin")
             .epochs(6)
@@ -188,7 +175,6 @@ mod tests {
         assert_eq!(get("bin"), Some(Value::Str("perf_gate".into())));
         assert_eq!(get("seed"), Some(Value::Int(17)));
         assert_eq!(get("threads"), Some(Value::Int(4)));
-        assert_eq!(get("pool"), Some(Value::Bool(true)));
         assert_eq!(get("dataset"), Some(Value::Str("TRIANGLES".into())));
         assert_eq!(get("backbone"), Some(Value::Str("Gin".into())));
         assert_eq!(get("epochs"), Some(Value::Int(6)));

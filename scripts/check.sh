@@ -21,14 +21,11 @@ else
     echo "== cargo clippy not installed; skipping"
 fi
 
-echo "== cargo test (OOD_THREADS=1, pool on)"
-OOD_THREADS=1 OOD_POOL=1 cargo test --workspace --quiet || status=1
+echo "== cargo test (OOD_THREADS=1)"
+OOD_THREADS=1 cargo test --workspace --quiet || status=1
 
-echo "== cargo test (OOD_THREADS=4, pool on)"
-OOD_THREADS=4 OOD_POOL=1 cargo test --workspace --quiet || status=1
-
-echo "== cargo test (OOD_THREADS=4, pool off)"
-OOD_THREADS=4 OOD_POOL=0 cargo test --workspace --quiet || status=1
+echo "== cargo test (OOD_THREADS=4)"
+OOD_THREADS=4 cargo test --workspace --quiet || status=1
 
 echo "== fault drill (kill+resume, NaN batches, inner spikes)"
 cargo run -p bench --release --bin fault_drill >/dev/null || status=1
@@ -63,15 +60,9 @@ else
 fi
 
 # Smoke runs pass `--json -` so the fast numbers do not overwrite the
-# committed full-run artifacts (results/threads_sweep.json, mem_sweep.json).
+# committed full-run artifact (results/threads_sweep.json).
 echo "== threads sweep smoke (bitwise determinism across thread counts)"
 OOD_BENCH_FAST=1 cargo run -p bench --release --bin threads_sweep -- --json - >/dev/null || status=1
-
-echo "== memory sweep smoke (pool neutrality + allocation reduction)"
-OOD_BENCH_FAST=1 cargo run -p bench --release --bin mem_sweep -- --json - >/dev/null || status=1
-
-echo "== kernel sweep smoke (bitwise simd-vs-scalar gate + per-kernel speedups)"
-OOD_BENCH_FAST=1 cargo run -p bench --release --bin kernel_sweep -- --json - >/dev/null || status=1
 
 echo "== perf gate (baseline regression check at t=1 and t=4)"
 OOD_BENCH_FAST=1 OOD_THREADS=1 cargo run -p bench --release --bin perf_gate -- --tolerance 2 >/dev/null || status=1
