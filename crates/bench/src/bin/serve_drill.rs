@@ -48,6 +48,7 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tensor::rng::Rng;
+use trace::json::{self, Json};
 
 const SEED: u64 = 12;
 const MODEL_SEED: u64 = 7;
@@ -680,32 +681,26 @@ fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
     panic!("timed out waiting for {what}");
 }
 
-/// Extract a top-level string field from a raw response line. The serving
-/// protocol's request parser rejects nested objects, so responses carrying
-/// a `timing` object can't go back through it; a textual scan is exact for
-/// the escape-free ids and statuses the drill itself chose.
-fn wire_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
+/// One reply line read back by the shared JSON reader.
+fn wire_reply(line: &str) -> Vec<(String, Json)> {
+    json::parse_object(line.trim(), 1 << 16)
+        .unwrap_or_else(|e| panic!("reply `{}` does not parse: {e}", line.trim()))
 }
 
-/// Extract the `outputs` bit pattern from a raw response line. The wire
-/// carries f64 literals in shortest round-trip form, so parsing and
-/// narrowing back to f32 recovers the executor's exact bits.
-fn wire_output_bits(line: &str) -> Vec<u64> {
-    let Some(start) = line.find("\"outputs\":[") else {
-        return Vec::new();
-    };
-    let rest = &line[start + "\"outputs\":[".len()..];
-    let Some(end) = rest.find(']') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .split(',')
-        .filter(|t| !t.trim().is_empty())
-        .map(|t| (t.trim().parse::<f64>().expect("numeric output") as f32).to_bits() as u64)
+/// A top-level string field of a parsed reply.
+fn reply_str<'a>(reply: &'a [(String, Json)], key: &str) -> Option<&'a str> {
+    json::field(reply, key).and_then(Json::as_str)
+}
+
+/// The `outputs` bit pattern of a parsed reply. The wire carries f64
+/// literals in shortest round-trip form, so narrowing back to f32 recovers
+/// the executor's exact bits.
+fn reply_output_bits(reply: &[(String, Json)]) -> Vec<u64> {
+    json::field(reply, "outputs")
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .map(|v| (v.as_f64().expect("numeric output") as f32).to_bits() as u64)
         .collect()
 }
 
@@ -729,13 +724,14 @@ fn socket_client(
         let mut resp = String::new();
         reader.read_line(&mut resp).expect("read response");
         let us = t0.elapsed().as_micros() as u64;
+        let reply = wire_reply(&resp);
         assert_eq!(
-            wire_str(&resp, "id").as_deref(),
+            reply_str(&reply, "id"),
             Some(format!("g{index}").as_str()),
             "synchronous client must read its own reply: {resp}"
         );
-        assert_eq!(wire_str(&resp, "status").as_deref(), Some("ok"), "{resp}");
-        out.push((index, wire_output_bits(&resp), us));
+        assert_eq!(reply_str(&reply, "status"), Some("ok"), "{resp}");
+        out.push((index, reply_output_bits(&reply), us));
     }
     out
 }
@@ -913,7 +909,11 @@ fn socket_drill() {
             writeln!(w, "{}", graph_line(&format!("keep{i}"), graphs[0], 60_000)).unwrap();
             let mut line = String::new();
             r.read_line(&mut line).unwrap();
-            assert_eq!(wire_str(&line, "status").as_deref(), Some("ok"), "{line}");
+            assert_eq!(
+                reply_str(&wire_reply(&line), "status"),
+                Some("ok"),
+                "{line}"
+            );
             (w, r)
         })
         .collect();
@@ -924,11 +924,12 @@ fn socket_drill() {
     let mut r = BufReader::new(extra);
     let mut shed_line = String::new();
     r.read_line(&mut shed_line).unwrap();
-    let shed_ok = wire_str(&shed_line, "status").as_deref() == Some("shed")
-        && wire_str(&shed_line, "error")
+    let shed = wire_reply(&shed_line);
+    let shed_ok = reply_str(&shed, "status") == Some("shed")
+        && reply_str(&shed, "error")
             .unwrap_or_default()
             .contains("connection limit")
-        && !shed_line.contains("\"id\"");
+        && json::field(&shed, "id").is_none();
     let mut eof = String::new();
     let closed = matches!(r.read_line(&mut eof), Ok(0));
     let stats = server.stats();
@@ -993,7 +994,8 @@ fn socket_drill() {
     gr.read_line(&mut good_line).unwrap();
     drill.check(
         "slow reader disconnected exactly once, good client bit-exact",
-        count(&stats.slow_client_drops) == 1 && wire_output_bits(&good_line) == base_bits,
+        count(&stats.slow_client_drops) == 1
+            && reply_output_bits(&wire_reply(&good_line)) == base_bits,
         format!("slow_client_drops {}", count(&stats.slow_client_drops)),
     );
     drop(sw);

@@ -5,15 +5,15 @@
 //! same format next to its markdown table so every perf
 //! artifact in `results/` is diffable by the same tooling.
 //!
-//! The encoding reuses the trace crate's JSON writer/parser (flat objects
-//! only), so no new serialization surface is introduced. Files are
+//! The encoding reuses the trace crate's JSON writer and reader (flat
+//! objects only), so no new serialization surface is introduced. Files are
 //! pretty-printed one key per line to keep committed-baseline diffs
 //! reviewable.
 
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
-use trace::json;
+use trace::json::{self, Json};
 use trace::Value;
 
 /// Format-version stamp written into every metric file.
@@ -66,46 +66,41 @@ impl MetricFile {
     /// Serialize as a pretty-printed flat JSON object (meta first, then
     /// metrics, both alphabetical).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let mut first = true;
-        for (k, v) in &self.meta {
-            if !first {
-                out.push_str(",\n");
+        format!("{{\n{}\n}}\n", self.members("  ", ": ", ",\n"))
+    }
+
+    /// Every field as `"key"<colon>value`, each after `indent`, joined by
+    /// `sep`: meta first, then metrics, both alphabetical.
+    fn members(&self, indent: &str, colon: &str, sep: &str) -> String {
+        let meta = self.meta.iter().map(|(k, v)| (k, Value::Str(v.clone())));
+        let metrics = self.metrics.iter().map(|(k, v)| (k, Value::Float(*v)));
+        let mut out = String::new();
+        for (i, (k, v)) in meta.chain(metrics).enumerate() {
+            if i > 0 {
+                out.push_str(sep);
             }
-            first = false;
-            out.push_str("  ");
+            out.push_str(indent);
             json::write_str(&mut out, k);
-            out.push_str(": ");
-            json::write_value(&mut out, &Value::Str(v.clone()));
+            out.push_str(colon);
+            json::write_value(&mut out, &v);
         }
-        for (k, v) in &self.metrics {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str("  ");
-            json::write_str(&mut out, k);
-            out.push_str(": ");
-            json::write_value(&mut out, &Value::Float(*v));
-        }
-        out.push_str("\n}\n");
         out
     }
 
     /// Parse a metric file back: string values become meta, numbers become
     /// metrics, booleans/nulls are rejected (nothing here emits them).
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let pairs = json::parse_object(text.trim())?;
+        let pairs = json::parse_object(text.trim(), 0)?;
         let mut m = MetricFile::default();
         for (k, v) in pairs {
             match v {
-                Value::Str(s) => {
+                Json::Str(s) => {
                     m.meta.insert(k, s);
                 }
-                Value::Int(i) => {
+                Json::Int(i) => {
                     m.metrics.insert(k, i as f64);
                 }
-                Value::Float(f) => {
+                Json::Float(f) => {
                     m.metrics.insert(k, f);
                 }
                 other => return Err(format!("unexpected value for {k}: {other:?}")),
@@ -137,27 +132,7 @@ impl MetricFile {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let mut line = String::from("{");
-        let mut first = true;
-        for (k, v) in &self.meta {
-            if !first {
-                line.push(',');
-            }
-            first = false;
-            json::write_str(&mut line, k);
-            line.push(':');
-            json::write_value(&mut line, &Value::Str(v.clone()));
-        }
-        for (k, v) in &self.metrics {
-            if !first {
-                line.push(',');
-            }
-            first = false;
-            json::write_str(&mut line, k);
-            line.push(':');
-            json::write_value(&mut line, &Value::Float(*v));
-        }
-        line.push('}');
+        let line = format!("{{{}}}", self.members("", ":", ","));
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)

@@ -25,8 +25,16 @@
 //! `degraded`} (see the failure-modes table in `EXPERIMENTS.md`). Every
 //! malformed line yields a structured `error` response — never a dead
 //! server.
+//!
+//! Lines are read by the workspace's one JSON reader,
+//! [`trace::json::parse_object`], under an element budget derived from
+//! [`Limits`]. Its rules are the wire contract: a lone or mismatched
+//! UTF-16 surrogate escape decodes to U+FFFD, and a number literal that
+//! overflows to a non-finite float (`1e999`) makes the line an `error`.
+//! The same reader reads the replies back, `timing` object included.
+//! Admission parses each line once.
 
-use crate::json::{parse_object, Json};
+use trace::json::{field, parse_object, Json};
 
 /// Hard bounds enforced before a request is admitted.
 #[derive(Debug, Clone)]
@@ -123,24 +131,13 @@ pub enum Request {
     },
 }
 
-/// Extract the `id` field from a line on a best-effort basis, so error
-/// responses to malformed requests still correlate when possible. Falls
-/// back to a raw textual scan when the line doesn't parse at all (the
-/// whole point: the request is malformed). Returns `None` when no id can
-/// be recovered — the reply then omits the `id` field entirely, so a
-/// client can always distinguish "the server could not correlate this"
-/// from a request that genuinely sent `"id":""`.
+/// Recover the `id` of a line that was not parsed — over the length
+/// limit, or not a JSON object — by a textual scan, so its `error` reply
+/// still correlates when possible. Returns `None` when no id can be
+/// recovered: the reply then omits the `id` field entirely, so a client
+/// can always distinguish "the server could not correlate this" from a
+/// request that genuinely sent `"id":""`.
 pub fn best_effort_id(line: &str) -> Option<String> {
-    if let Ok(pairs) = parse_object(line, usize::MAX) {
-        for (k, v) in pairs {
-            if k == "id" {
-                if let Some(s) = v.as_str() {
-                    return Some(s.to_string());
-                }
-            }
-        }
-        return None;
-    }
     let start = line.find("\"id\":")?;
     let rest = line[start + 5..].trim_start();
     let rest = rest.strip_prefix('"')?;
@@ -152,17 +149,50 @@ pub fn best_effort_id(line: &str) -> Option<String> {
     }
 }
 
+/// A rejected request line: the client-facing cause, and the id its
+/// `error` reply correlates with (`None` when none was recovered).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Rejection {
+    /// The request's `id`, when one was recovered.
+    pub(crate) id: Option<String>,
+    /// Why the line was rejected.
+    pub(crate) error: String,
+}
+
 /// Parse and validate one request line against the limits. Every rejection
 /// is a client error message suitable for a structured `error` response.
 pub fn parse_request(line: &str, limits: &Limits) -> Result<Request, String> {
+    parse_request_with_id(line, limits).map_err(|r| r.error)
+}
+
+/// [`parse_request`] for admission: the line is parsed once, and a
+/// rejection also carries the id for the reply. A line that parses but
+/// breaks the schema takes its string `id` field from that parse; an
+/// over-limit or unparseable line falls back to [`best_effort_id`].
+pub(crate) fn parse_request_with_id(line: &str, limits: &Limits) -> Result<Request, Rejection> {
     if line.len() > limits.max_line_bytes {
-        return Err(format!(
-            "request line is {} bytes (limit {})",
-            line.len(),
-            limits.max_line_bytes
-        ));
+        return Err(Rejection {
+            id: best_effort_id(line),
+            error: format!(
+                "request line is {} bytes (limit {})",
+                line.len(),
+                limits.max_line_bytes
+            ),
+        });
     }
-    let pairs = parse_object(line.trim(), limits.element_budget())?;
+    let pairs = parse_object(line.trim(), limits.element_budget()).map_err(|error| Rejection {
+        id: best_effort_id(line),
+        error,
+    })?;
+    request_from_pairs(&pairs, limits).map_err(|error| Rejection {
+        id: field(&pairs, "id")
+            .and_then(Json::as_str)
+            .map(str::to_string),
+        error,
+    })
+}
+
+fn request_from_pairs(pairs: &[(String, Json)], limits: &Limits) -> Result<Request, String> {
     let mut op = None;
     let mut id = String::new();
     let mut model = "default".to_string();
@@ -174,10 +204,10 @@ pub fn parse_request(line: &str, limits: &Limits) -> Result<Request, String> {
     let mut timing = false;
     for (key, value) in pairs {
         match key.as_str() {
-            "op" => op = Some(req_str(&value, "op")?),
-            "id" => id = req_str(&value, "id")?,
-            "model" => model = req_str(&value, "model")?,
-            "path" => path = Some(req_str(&value, "path")?),
+            "op" => op = Some(req_str(value, "op")?),
+            "id" => id = req_str(value, "id")?,
+            "model" => model = req_str(value, "model")?,
+            "path" => path = Some(req_str(value, "path")?),
             "nodes" => {
                 num_nodes = Some(
                     value
@@ -186,8 +216,8 @@ pub fn parse_request(line: &str, limits: &Limits) -> Result<Request, String> {
                         as usize,
                 )
             }
-            "edges" => edges = Some(parse_edges(&value, limits)?),
-            "features" => features = Some(parse_features(&value)?),
+            "edges" => edges = Some(parse_edges(value, limits)?),
+            "features" => features = Some(parse_features(value)?),
             "deadline_ms" => {
                 deadline_ms = Some(value.as_uint().ok_or("`deadline_ms` must be an integer")?)
             }
@@ -623,6 +653,129 @@ mod tests {
             best_effort_id(r#"{"id":"x7",   "op": <garbage"#).as_deref(),
             Some("x7")
         );
+
+        // Admission parses each line once and correlates every rejection.
+        let limits = Limits {
+            max_line_bytes: 64,
+            ..Limits::default()
+        };
+        let rejected_id = |line: &str| parse_request_with_id(line, &limits).unwrap_err().id;
+        // Over the length limit: the textual scan, no parse.
+        let long = format!(r#"{{"id":"big","op":"infer","pad":"{}"}}"#, "x".repeat(80));
+        assert_eq!(rejected_id(&long).as_deref(), Some("big"));
+        // Schema-invalid: the id of the one parse, escapes and spacing
+        // included (the textual scan would give up on both).
+        assert_eq!(
+            rejected_id(r#"{"op":"nope", "id" : "a\"b"}"#).as_deref(),
+            Some("a\"b")
+        );
+        assert_eq!(rejected_id(r#"{"id":7,"op":"nope"}"#), None);
+        // Syntax error: the textual scan.
+        assert_eq!(rejected_id(r#"{"id":"s1","op":}"#).as_deref(), Some("s1"));
+    }
+
+    fn reparse(r: &Response) -> Vec<(String, Json)> {
+        let line = r.to_json();
+        parse_object(&line, 1 << 16).unwrap_or_else(|e| panic!("`{line}`: {e}"))
+    }
+
+    fn str_field<'a>(pairs: &'a [(String, Json)], key: &str) -> Option<&'a str> {
+        field(pairs, key).and_then(Json::as_str)
+    }
+
+    #[test]
+    fn every_response_shape_round_trips_through_the_reader() {
+        // `ok` with outputs, timing and extras; outputs compare by f32 bits.
+        let outputs = vec![0.1f32, 1.0 / 3.0, 0.0, -0.0, 1.0, 7.5e-39, f32::MAX];
+        let mut ok = Response::new("r\"1", Status::Ok).with_extra("batch", 4.0);
+        ok.outputs = Some(outputs.clone());
+        ok.model_version = Some(3);
+        ok.latency_us = Some(45);
+        ok.timing = Some(StageTiming {
+            queue_us: 10,
+            assemble_us: 2,
+            compute_us: 30,
+            write_us: 3,
+        });
+        let pairs = reparse(&ok);
+        assert_eq!(str_field(&pairs, "id"), Some("r\"1"));
+        assert_eq!(str_field(&pairs, "status"), Some("ok"));
+        assert_eq!(field(&pairs, "model_version"), Some(&Json::Int(3)));
+        assert_eq!(field(&pairs, "latency_us"), Some(&Json::Int(45)));
+        let bits: Vec<u32> = field(&pairs, "outputs")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|v| (v.as_f64().unwrap() as f32).to_bits())
+            .collect();
+        let want: Vec<u32> = outputs.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, want);
+        let Some(Json::Obj(timing)) = field(&pairs, "timing") else {
+            panic!("timing is an object")
+        };
+        for (key, us) in [
+            ("queue_us", 10),
+            ("assemble_us", 2),
+            ("compute_us", 30),
+            ("write_us", 3),
+            ("total_us", 45),
+        ] {
+            assert_eq!(
+                field(timing, key).and_then(Json::as_uint),
+                Some(us),
+                "{key}"
+            );
+        }
+        assert_eq!(field(&pairs, "batch"), Some(&Json::Float(4.0)));
+
+        // `error` with and without an id.
+        let pairs = reparse(&Response::error("e1", "unknown op `x`"));
+        assert_eq!(str_field(&pairs, "id"), Some("e1"));
+        assert_eq!(str_field(&pairs, "status"), Some("error"));
+        assert_eq!(str_field(&pairs, "error"), Some("unknown op `x`"));
+        let pairs = reparse(&Response::error_with(None, "not UTF-8"));
+        assert_eq!(field(&pairs, "id"), None);
+        assert_eq!(str_field(&pairs, "error"), Some("not UTF-8"));
+
+        // `health` with its state; `stats` with extras (a non-finite extra
+        // is written as `null`).
+        let mut health = Response::new("h", Status::Ok).with_extra("healthy", 0.0);
+        health.state = Some("draining".into());
+        let pairs = reparse(&health);
+        assert_eq!(str_field(&pairs, "state"), Some("draining"));
+        assert_eq!(field(&pairs, "healthy").and_then(Json::as_f64), Some(0.0));
+        let stats = Response::new("s", Status::Ok)
+            .with_extra("uptime_s", 1.25)
+            .with_extra("queue_depth", 0.0)
+            .with_extra("p95_ms", f64::NAN);
+        let pairs = reparse(&stats);
+        assert_eq!(field(&pairs, "uptime_s"), Some(&Json::Float(1.25)));
+        assert_eq!(field(&pairs, "queue_depth"), Some(&Json::Float(0.0)));
+        assert_eq!(field(&pairs, "p95_ms"), Some(&Json::Null));
+
+        // `shed`, `timeout` and `degraded` statuses.
+        for status in [Status::Shed, Status::Timeout, Status::Degraded] {
+            let pairs = reparse(&Response::unidentified(status));
+            assert_eq!(str_field(&pairs, "status"), Some(status.as_str()));
+        }
+    }
+
+    #[test]
+    fn integral_float_numbers_are_accepted_as_counts() {
+        let line =
+            r#"{"op":"infer","id":"r","nodes":2.0,"features":[1,-0,2.5,3e0],"deadline_ms":5.0}"#;
+        let Request::Infer(req) = parse_request(line, &Limits::default()).unwrap() else {
+            panic!("not infer")
+        };
+        assert_eq!(req.num_nodes, 2);
+        assert_eq!(req.deadline_ms, Some(5));
+        let bits: Vec<u32> = req.features.iter().map(|f| f.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [1.0f32, -0.0, 2.5, 3.0].map(f32::to_bits).to_vec(),
+            "feature bits match an f64 parse of each literal"
+        );
+        assert!(parse_request(&line.replace("2.0", "2.5"), &Limits::default()).is_err());
     }
 
     #[test]

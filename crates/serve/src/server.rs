@@ -387,22 +387,10 @@ impl Server {
     pub fn submit_line_routed(&self, line: &str, tx: &ReplyTx) {
         self.stats.received.fetch_add(1, Ordering::Relaxed);
         trace::metrics::counter_add("serve/requests", 1);
-        if line.len() > self.config.limits.max_line_bytes {
-            self.respond_error(
-                tx,
-                crate::protocol::best_effort_id(line),
-                format!(
-                    "request line is {} bytes (limit {})",
-                    line.len(),
-                    self.config.limits.max_line_bytes
-                ),
-            );
-            return;
-        }
-        let request = match crate::protocol::parse_request(line, &self.config.limits) {
+        let request = match crate::protocol::parse_request_with_id(line, &self.config.limits) {
             Ok(r) => r,
-            Err(e) => {
-                self.respond_error(tx, crate::protocol::best_effort_id(line), e);
+            Err(rejection) => {
+                self.respond_error(tx, rejection.id, rejection.error);
                 return;
             }
         };

@@ -2,9 +2,10 @@
 //! checkpoint file, a mixed request stream including a malformed line, and
 //! a graceful EOF drain with exit code 0.
 
-use oodgnn_serve::{checkpoint_from_model, json, ModelSpec};
+use oodgnn_serve::{checkpoint_from_model, ModelSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
+use trace::json::{self, Json};
 
 #[test]
 fn binary_serves_over_stdio_and_drains_on_eof() {
@@ -54,17 +55,14 @@ fn binary_serves_over_stdio_and_drains_on_eof() {
         let line = line.unwrap();
         let pairs = json::parse_object(&line, 1024).expect("response parses");
         let get = |key: &str| {
-            pairs
-                .iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.as_str().map(str::to_string))
+            json::field(&pairs, key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
         };
         statuses.insert(get("id").unwrap_or_default(), get("status").unwrap());
         if get("id").as_deref() == Some("g") {
-            let outputs = pairs
-                .iter()
-                .find(|(k, _)| k == "outputs")
-                .and_then(|(_, v)| v.as_arr())
+            let outputs = json::field(&pairs, "outputs")
+                .and_then(Json::as_arr)
                 .expect("infer response has outputs");
             assert_eq!(outputs.len(), 3);
         }

@@ -147,6 +147,12 @@ fn unrecoverable_ids_are_omitted_not_empty() {
     // And a recoverable id inside an unparseable line still correlates.
     let r = ask(&server, r#"{"id":"m42", <not json"#);
     assert_eq!(r.id.as_deref(), Some("m42"));
+    // A schema-invalid line correlates with the id of its one parse, even
+    // one the textual scan cannot read (an escape, spacing).
+    let r = ask(&server, r#"{"op":"explode", "id" : "m\"43"}"#);
+    assert_eq!(r.status, Status::Error);
+    assert!(r.error.as_deref().unwrap().contains("unknown op"));
+    assert_eq!(r.id.as_deref(), Some("m\"43"));
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -163,13 +169,17 @@ fn oversized_payloads_are_rejected_before_parsing() {
     let r = ask(&server, &huge);
     assert_eq!(r.status, Status::Error);
     assert!(r.error.as_ref().unwrap().contains("bytes"));
-    // Within the line limit but over the element budget.
+    // Its id comes from the textual scan alone: the line is never parsed.
+    assert_eq!(r.id.as_deref(), Some("huge"));
+    // Within the line limit but over the feature-dim limit.
     let wide = format!(
         "{{\"op\":\"infer\",\"id\":\"wide\",\"nodes\":1,\"features\":[{}1]}}",
         "1,".repeat(300_000)
     );
     let r = ask(&server, &wide);
     assert_eq!(r.status, Status::Error);
+    assert!(r.error.as_ref().unwrap().contains("feature dim"));
+    assert_eq!(r.id.as_deref(), Some("wide"));
     let ok = ask(&server, &good_line("alive"));
     assert_eq!(ok.status, Status::Ok, "{:?}", ok.error);
     server.shutdown();

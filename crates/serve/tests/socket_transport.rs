@@ -5,7 +5,6 @@
 //! backpressure, the connection limit, idle timeouts — behave exactly as
 //! specified and never take the executor down.
 
-use oodgnn_serve::json::{self, Json};
 use oodgnn_serve::{
     checkpoint_from_model, ModelSpec, ServeConfig, Server, Status, Transport, TransportConfig,
 };
@@ -16,6 +15,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+use trace::json::{self, Json};
 
 /// The worker pool and trace globals are process-wide; serialize tests.
 static GLOBAL: Mutex<()> = Mutex::new(());
@@ -95,14 +95,13 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> Option<Vec<(String, Json)
 }
 
 fn field_str(pairs: &[(String, Json)], key: &str) -> Option<String> {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.as_str().map(str::to_string))
+    json::field(pairs, key)
+        .and_then(Json::as_str)
+        .map(str::to_string)
 }
 
 fn field_bits(pairs: &[(String, Json)], key: &str) -> Option<Vec<u32>> {
-    let arr = pairs.iter().find(|(k, _)| k == key)?.1.as_arr()?;
+    let arr = json::field(pairs, key)?.as_arr()?;
     Some(
         arr.iter()
             .map(|v| (v.as_f64().expect("numeric output") as f32).to_bits())
@@ -269,6 +268,51 @@ fn abrupt_disconnect_mid_batch_never_panics_the_executor() {
 }
 
 #[test]
+fn invalid_utf8_line_gets_an_idless_error_and_the_connection_keeps_serving() {
+    let _g = lock();
+    let (server, dir, _ck) = start_server("utf8");
+    let transport =
+        Transport::bind(server.clone(), "127.0.0.1:0", TransportConfig::default()).unwrap();
+    let (tx, rx) = channel();
+    server.submit_line(&infer_line("serial", 3, 5), &tx);
+    let serial = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+    let serial_bits: Vec<u32> = serial
+        .outputs
+        .unwrap()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+
+    let stream = connect(&transport);
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    // A lone continuation byte and a truncated sequence inside the id.
+    writer
+        .write_all(b"{\"op\":\"infer\",\"id\":\"\xff\xc3\",\"nodes\":1}\n")
+        .unwrap();
+    let pairs = read_response(&mut reader).expect("structured error reply");
+    assert_eq!(field_str(&pairs, "status").as_deref(), Some("error"));
+    assert!(
+        field_str(&pairs, "error").unwrap().contains("UTF-8"),
+        "{pairs:?}"
+    );
+    assert!(
+        field_str(&pairs, "id").is_none(),
+        "no id from invalid bytes"
+    );
+
+    // The same connection then serves a valid request, bit-exactly.
+    writeln!(writer, "{}", infer_line("after", 3, 5)).unwrap();
+    let pairs = read_response(&mut reader).expect("reply after the bad line");
+    assert_eq!(field_str(&pairs, "id").as_deref(), Some("after"));
+    assert_eq!(field_str(&pairs, "status").as_deref(), Some("ok"));
+    assert_eq!(field_bits(&pairs, "outputs").unwrap(), serial_bits);
+    transport.shutdown();
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn slow_reader_overflow_disconnects_only_that_client() {
     let _g = lock();
     let (server, dir, _ck) = start_server("slow");
@@ -408,10 +452,8 @@ fn stats_and_telemetry_carry_connection_rows() {
     writeln!(writer, "{{\"op\":\"stats\",\"id\":\"s\"}}").unwrap();
     let pairs = read_response(&mut reader).unwrap();
     let num = |key: &str| {
-        pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_f64())
+        json::field(&pairs, key)
+            .and_then(Json::as_f64)
             .unwrap_or_else(|| panic!("missing stats row `{key}` in {pairs:?}"))
     };
     assert_eq!(num("open_conns"), 1.0);

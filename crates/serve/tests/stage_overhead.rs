@@ -7,6 +7,7 @@
 use oodgnn_serve::{ServeWindows, StageTiming};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// System allocator wrapper counting every allocation in the process.
 struct CountingAlloc;
@@ -32,6 +33,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// The counter is process-global and the test harness runs tests on
+/// parallel threads: serialize them so one test's allocations never land
+/// in another's measurement window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// One request's worth of stage recording, mirroring the executor's ok
 /// path: stamp a [`StageTiming`], fold it into the windows, sample the
 /// queue depth, and tick the outcome rates.
@@ -55,6 +61,7 @@ fn record_one(w: &mut ServeWindows, i: u64) {
 
 #[test]
 fn stage_stamp_path_is_allocation_free_after_warmup() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut w = ServeWindows::new(60);
     // Warmup: fill the rings past capacity (so later records overwrite
     // instead of growing anything) and touch the per-version map once.
@@ -82,6 +89,7 @@ fn stage_stamp_path_is_allocation_free_after_warmup() {
 
 #[test]
 fn snapshot_path_reuses_its_scratch_buffer() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut w = ServeWindows::new(60);
     for i in 0..5_000 {
         record_one(&mut w, i);

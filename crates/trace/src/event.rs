@@ -248,7 +248,7 @@ impl Event {
 
     /// Parse an event back from a JSON line produced by [`Event::to_json`].
     pub fn from_json_line(line: &str) -> Result<Event, String> {
-        let pairs = crate::json::parse_object(line)?;
+        let pairs = crate::json::parse_object(line, 0)?;
         let mut kind = None;
         let mut name = None;
         let mut fields = Vec::new();
@@ -259,7 +259,12 @@ impl Event {
                     kind = Some(EventKind::parse(s).ok_or_else(|| format!("unknown kind {s}"))?);
                 }
                 "name" => name = Some(v.as_str().ok_or("name must be a string")?.to_string()),
-                _ => fields.push((k, v)),
+                // `null` encodes a non-finite float; the field is dropped.
+                _ => {
+                    if let Some(v) = v.into_value().map_err(|e| format!("{k}: {e}"))? {
+                        fields.push((k, v));
+                    }
+                }
             }
         }
         Ok(Event {

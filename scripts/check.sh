@@ -21,6 +21,9 @@ else
     echo "== cargo clippy not installed; skipping"
 fi
 
+echo "== perfbench build (the repository benchmark links the crates by path)"
+cargo build --release --manifest-path perfbench/Cargo.toml || status=1
+
 echo "== cargo test (OOD_THREADS=1)"
 OOD_THREADS=1 cargo test --workspace --quiet || status=1
 
